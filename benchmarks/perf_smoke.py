@@ -22,11 +22,12 @@ times faster (default 6.0; the recorded trajectory in
 ``baseline_core.json`` puts it near 7x on the 1-CPU container).
 
 A third gate covers the hot merge kernel itself: ``--kernel-gate``
-micro-benchmarks ``dedup_rank_truncate`` — the receiver-bucketed
-implementation against the retained global-sort reference — at the
-(receivers, view) shapes of the reduced and paper presets, verifies the
-outputs match exactly, and fails unless the bucketed kernel is at least
-``--kernel-threshold`` times faster at every shape.
+micro-benchmarks the live T-Man merge ``merge_rank_truncate`` against
+its flat global-sort oracle (``tests/kernel_oracles.py``) on torus
+loads at the (receivers, view) shapes of the reduced and paper presets,
+verifies the outputs match exactly, and fails unless the median of
+interleaved per-pair ratios is at least ``--kernel-threshold`` at every
+shape.
 
 Usage::
 
@@ -34,7 +35,7 @@ Usage::
     python benchmarks/perf_smoke.py --record   # re-record current side
     python benchmarks/perf_smoke.py --engine batch   # gate cell, batch engine
     python benchmarks/perf_smoke.py --engine-gate    # batch >= 6x event
-    python benchmarks/perf_smoke.py --kernel-gate    # bucketed >= 2x sort
+    python benchmarks/perf_smoke.py --kernel-gate    # merge >= 2x flat oracle
     python benchmarks/perf_smoke.py --obs-gate       # disabled obs <= 2%
     python benchmarks/perf_smoke.py --mem-gate       # tracked peak vs baseline
     python benchmarks/perf_smoke.py --mem-gate --record   # re-record peak
@@ -141,71 +142,78 @@ def engine_gate(threshold: float) -> int:
     return 0
 
 
-#: (receivers, entries-per-receiver, cap) shapes for --kernel-gate:
-#: receivers from the preset torus grids (the largest reduced sweep
-#: grid — the engine-gate cell — and the paper preset's main grid),
-#: ~140 incoming entries per receiver (the instrumented median of the
-#: T-Man merge at the gate cell) ranked down to the view cap.
+#: (label, torus cols, rows, entries-per-receiver, cap) shapes for
+#: --kernel-gate: receivers from the preset torus grids (the largest
+#: reduced sweep grid — the engine-gate cell — and the paper preset's
+#: main grid), ~140 incoming entries per receiver (the instrumented
+#: median of the T-Man merge at the gate cell) ranked down to the view
+#: cap.
 KERNEL_GATE_SHAPES = (
-    ("reduced 48x24", 48 * 24, 140, 100),
-    ("paper 80x40", 80 * 40, 140, 100),
+    ("reduced 48x24", 48, 24, 140, 100),
+    ("paper 80x40", 80, 40, 140, 100),
 )
 
 
-def kernel_gate(threshold: float, repeats: int = 5) -> int:
-    """Fail unless the receiver-bucketed ``dedup_rank_truncate`` beats
-    the retained global-sort reference by at least ``threshold`` x at
-    every preset shape (min-of-``repeats`` per side; outputs are also
+def kernel_gate(threshold: float, repeats: int = 11) -> int:
+    """Fail unless the live fused merge ``merge_rank_truncate`` beats
+    its flat global-sort oracle (``tests/kernel_oracles.py``) by at
+    least ``threshold`` x at every preset shape.  The two sides run
+    interleaved, alternating which goes first; the gate reads the
+    median per-pair ratio and prints its quartiles.  Outputs are also
     checked for exact equality, so the speed claim cannot drift apart
-    from the equivalence claim)."""
+    from the equivalence claim."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from repro.sim.batch import kernels
+    from tests.kernel_oracles import (
+        merge_rank_truncate_reference,
+        torus_merge_load,
+    )
 
-    def best_of(fn, *args):
-        best, out = float("inf"), None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            out = fn(*args)
-            best = min(best, time.perf_counter() - t0)
-        return best, out
+    def seconds(fn, args):
+        t0 = time.perf_counter()
+        fn(*args)
+        return time.perf_counter() - t0
 
+    live = kernels.merge_rank_truncate
+    oracle = merge_rank_truncate_reference
     failed = False
-    for label, n_recv, per, cap in KERNEL_GATE_SHAPES:
-        rng = np.random.default_rng(0)
-        total = n_recv * per
-        recv = np.repeat(np.arange(n_recv, dtype=np.int64), per)
-        ids = rng.integers(0, n_recv, total).astype(np.int64)
-        ages = rng.integers(0, 50, total).astype(np.int64)
-        dists = rng.random(total)
-
-        def dist_of(kept, dists=dists):
-            return dists[kept]
-
-        t_ref, out_ref = best_of(
-            kernels.dedup_rank_truncate_reference, recv, ids, dist_of, cap, ages
+    for label, cols, rows, per, cap in KERNEL_GATE_SHAPES:
+        space, pos, ids_pad, coords_pad, valid, ages_pad = torus_merge_load(
+            cols, rows, per
         )
-        t_new, out_new = best_of(
-            kernels.dedup_rank_truncate_numpy, recv, ids, dist_of, cap, ages
-        )
-        if not all(np.array_equal(a, b) for a, b in zip(out_ref, out_new)):
-            print(f"FAIL: {label}: bucketed kernel output differs from reference")
+        args = (space, pos, ids_pad, coords_pad, valid, cap, ages_pad)
+        if not all(
+            np.array_equal(a, b) for a, b in zip(live(*args), oracle(*args))
+        ):
+            print(f"FAIL: {label}: merge_rank_truncate differs from the oracle")
             failed = True
             continue
-        speedup = t_ref / t_new
+        t_live, t_oracle = [], []
+        for i in range(repeats):
+            if i % 2:
+                t_live.append(seconds(live, args))
+                t_oracle.append(seconds(oracle, args))
+            else:
+                t_oracle.append(seconds(oracle, args))
+                t_live.append(seconds(live, args))
+        ratios = np.asarray(t_oracle) / np.asarray(t_live)
+        q1, speedup, q3 = np.percentile(ratios, [25, 50, 75])
         print(
-            f"kernel gate {label} (R={total}, cap={cap}): "
-            f"sort {t_ref * 1e3:.2f}ms, bucketed {t_new * 1e3:.2f}ms -> "
-            f"{speedup:.2f}x (threshold {threshold:.1f}x)"
+            f"kernel gate {label} (rows={cols * rows}, per={per}, cap={cap}, "
+            f"{repeats} pairs): oracle {np.median(t_oracle) * 1e3:.2f}ms, "
+            f"merge_rank_truncate {np.median(t_live) * 1e3:.2f}ms -> "
+            f"median {speedup:.2f}x (IQR {q1:.2f}-{q3:.2f}x, "
+            f"threshold {threshold:.1f}x)"
         )
         if speedup < threshold:
             print(
-                f"FAIL: {label}: bucketed dedup_rank_truncate is only "
-                f"{speedup:.2f}x the sort-based reference "
-                f"(gate requires >= {threshold:.1f}x)"
+                f"FAIL: {label}: merge_rank_truncate is only {speedup:.2f}x "
+                f"the flat oracle (gate requires >= {threshold:.1f}x)"
             )
             failed = True
     if failed:
         return 1
-    print(f"OK: bucketed dedup_rank_truncate >= {threshold:.1f}x at every shape")
+    print(f"OK: merge_rank_truncate >= {threshold:.1f}x the oracle at every shape")
     return 0
 
 
@@ -513,16 +521,16 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--kernel-gate",
         action="store_true",
-        help="micro-benchmark the receiver-bucketed dedup_rank_truncate "
-        "against the retained global-sort reference at the reduced and "
-        "paper preset shapes and fail if it is not >= --kernel-threshold "
-        "times faster (outputs are also checked for exact equality)",
+        help="micro-benchmark the live merge_rank_truncate against its "
+        "flat global-sort oracle at the reduced and paper preset shapes "
+        "and fail if the median interleaved ratio is not >= "
+        "--kernel-threshold (outputs are also checked for exact equality)",
     )
     parser.add_argument(
         "--kernel-threshold",
         type=float,
         default=2.0,
-        help="min bucketed-over-sort speedup for --kernel-gate "
+        help="min merge-over-oracle speedup for --kernel-gate "
         "(default 2.0)",
     )
     parser.add_argument(

@@ -94,13 +94,6 @@ class ScenarioConfig:
     #: Same scenario, statistically equivalent metrics, different
     #: trajectories — see README "Execution engines".
     engine: str = "event"
-    #: Kernel backend for the batch engine's hot kernels: ``None``
-    #: defers to the ``REPRO_KERNEL_BACKEND`` environment variable
-    #: (default ``numpy``); ``"numba"`` requests the optional compiled
-    #: kernels and silently falls back to numpy when numba is not
-    #: installed.  A pure execution knob — results are byte-identical
-    #: across backends, so it is excluded from config hashes.
-    kernel_backend: Optional[str] = None
     # -- protocol under test --------------------------------------------
     protocol: str = "polystyrene"
     #: Which topology construction layer Polystyrene plugs into —
@@ -150,15 +143,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.kernel_backend is not None:
-            from ..sim.batch import backend as kernel_backend_mod
-
-            if self.kernel_backend not in kernel_backend_mod.KNOWN_BACKENDS:
-                raise ConfigurationError(
-                    "kernel_backend must be one of "
-                    f"{kernel_backend_mod.KNOWN_BACKENDS}, "
-                    f"got {self.kernel_backend!r}"
-                )
         if self.retention_rounds is not None and (
             self.retention_rounds < self.detector_delay + 2
         ):
@@ -383,12 +367,6 @@ def build_simulation(
             BatchTMan,
             BatchVicinity,
         )
-        from ..sim.batch import backend as kernel_backend_mod
-
-        if config.kernel_backend is not None:
-            # Explicit config beats the environment; an unavailable
-            # optional backend silently resolves to numpy.
-            kernel_backend_mod.set_active(config.kernel_backend)
 
         rps_cls, tman_cls, vicinity_cls, poly_cls, sim_cls = (
             BatchPeerSampling,

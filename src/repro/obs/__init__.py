@@ -9,7 +9,7 @@ Three cooperating pieces, all stdlib-only:
   the hot seams of both engines and the cluster runtime, flushed as
   single-write JSONL lines.
 * :mod:`repro.obs.profiling` — ``--profile`` support: cProfile + peak
-  RSS / array-bytes sampling → ``obs/profile.json``.
+  RSS sampling → ``obs/profile.json``.
 * :mod:`repro.obs.trace` — causal spans with cross-process parent
   propagation, emitted to ``obs/spans.jsonl``; the ``repro obs trace``
   / ``export`` / ``diff`` analysis surfaces read them back.
@@ -101,10 +101,6 @@ def series_path() -> Optional[Path]:
 def mem_path() -> Optional[Path]:
     d = obs_dir()
     return d / "mem.json" if d is not None else None
-
-
-def profiling_active() -> bool:
-    return profiling.ACTIVE
 
 
 def configure(

@@ -89,10 +89,6 @@ def set_events_path(path: Union[str, Path, None]) -> None:
     _EVENTS_PATH = Path(path) if path is not None else None
 
 
-def events_path() -> Optional[Path]:
-    return _EVENTS_PATH
-
-
 def active() -> bool:
     """Whether any sink would record an event right now."""
     return LEVEL < OFF or _EVENTS_PATH is not None

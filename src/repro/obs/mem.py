@@ -171,12 +171,6 @@ def series_fields() -> Dict[str, Dict[str, int]]:
         }
 
 
-def total_peak() -> int:
-    """Peak simultaneous tracked bytes — what the mem-gate gates."""
-    with _LOCK:
-        return _TOTAL_PEAK
-
-
 def is_empty() -> bool:
     with _LOCK:
         return not _FAMILIES

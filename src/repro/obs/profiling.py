@@ -3,10 +3,10 @@
 ``--profile`` (or ``REPRO_PROFILE=1``) arms a :class:`Profiler` around a
 run: the whole run executes under :mod:`cProfile`, an
 :class:`ArraySampler` observer rides the simulation sampling peak RSS
-and live array bytes (NodeTable + per-node ViewBuffers) each round, and
-at the end everything — hot functions, peak memory, and the metrics
-registry's per-phase/per-kernel histograms — lands in one
-``obs/profile.json``.
+each round, and at the end everything — hot functions, peak RSS, and
+the metrics registry's per-phase/per-kernel histograms — lands in one
+``obs/profile.json``.  Array bytes are the byte-exact :mod:`repro.obs.mem`
+ledger's job.
 
 All sampling is read-only: the observer draws no RNG, mutates no state,
 and observers are outside ``state_digest``, so a profiled run's
@@ -49,30 +49,10 @@ def peak_rss_bytes() -> int:
     return int(peak) * 1024
 
 
-def array_bytes(sim) -> int:
-    """Total bytes of the live array state of a simulation: the
-    NodeTable's backing arrays plus every per-node ViewBuffer.  Pure
-    accounting (``nbytes`` properties), no copies."""
-    total = 0
-    table = getattr(getattr(sim, "network", None), "table", None)
-    if table is not None:
-        total += int(getattr(table, "nbytes", 0))
-    network = getattr(sim, "network", None)
-    if network is not None:
-        for node in network.nodes.values():
-            for value in vars(node).values():
-                nbytes = getattr(value, "nbytes", None)
-                if isinstance(nbytes, int):
-                    total += nbytes
-    return total
-
-
 class ArraySampler:
-    """Simulation observer recording memory high-water marks into the
-    metrics registry (``mem.peak_rss_bytes`` / ``mem.peak_array_bytes``
-    gauges) every ``interval`` rounds.  Attached only when profiling is
-    active; per-node ViewBuffer accounting is O(n) per sample, which a
-    profiled run accepts by definition."""
+    """Simulation observer recording the process' peak RSS into the
+    metrics registry (``mem.peak_rss_bytes`` gauge) every ``interval``
+    rounds.  Attached only when profiling is active."""
 
     def __init__(self, interval: int = 1) -> None:
         self.interval = max(1, int(interval))
@@ -80,9 +60,7 @@ class ArraySampler:
     def on_round_end(self, sim) -> None:
         if sim.round % self.interval:
             return
-        reg = metrics.registry()
-        reg.gauge_max("mem.peak_rss_bytes", peak_rss_bytes())
-        reg.gauge_max("mem.peak_array_bytes", array_bytes(sim))
+        metrics.registry().gauge_max("mem.peak_rss_bytes", peak_rss_bytes())
 
 
 class Profiler:
@@ -139,7 +117,6 @@ class Profiler:
             "ctx": dict(ctx or {}),
             "wall_s": round(wall_s, 6) if wall_s is not None else None,
             "peak_rss_bytes": peak_rss_bytes(),
-            "peak_array_bytes": snap["gauges"].get("mem.peak_array_bytes"),
             "hot_functions": self.hot_functions(),
             "metrics": snap,
         }

@@ -12,23 +12,23 @@ Receiver rows and descriptor ids are dense small non-negative ints, so
 grouping is *counting/radix bucketing*, not comparison sorting: NumPy's
 ``kind="stable"`` argsort lowers to an O(n) LSD radix pass for 16-bit
 integers, and :func:`radix_argsort` cascades two such passes for wider
-keys.  Dedup and ranking then run per bucket on short padded segments
-(one small ``axis=1`` sort over ~hundreds of columns) instead of one
-global composite-key sort over every entry of the round.  The fused
-:func:`merge_rank_truncate` goes further for the topology merge: the
+keys.  The slot-priority merge :func:`dedup_priority_truncate` groups
+with such radix cascades instead of one global composite-key sort over
+every entry of the round.  The fused :func:`merge_rank_truncate` goes
+further for the topology merge: the
 receivers' views are *already* padded ``(rows, cap)`` matrices, so the
 whole dedup → distance → rank → truncate chain runs in padded form —
 no flattening, no ``np.unique``, and (on exact-integer squared
 distances, which every grid scenario produces) a single non-stable
 integer ``argsort`` per merge.
 
-Every public kernel dispatches through the selectable backend registry
-(:mod:`repro.sim.batch.backend`): the reference NumPy implementations
-below double as the ``numpy`` backend, and the optional ``numba``
-backend substitutes compiled variants with byte-identical outputs.  The
-``*_reference`` functions keep the original global-sort implementations
-for the equivalence suites and the ``perf_smoke.py --kernel-gate``
-micro-benchmark.
+The layers call these functions by module attribute
+(``kernels.merge_rank_truncate(...)``), so a wrapper installed on the
+module (``perfbench/tracer.py``) sees every call.  The global-sort
+oracles they are checked against live in ``tests/kernel_oracles.py``:
+the property suites in ``tests/test_prop_kernels.py`` pin exact output
+equality, and ``benchmarks/perf_smoke.py --kernel-gate`` times the live
+merge against the flat oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 
 from ...obs import mem as _mem
 from ...obs.metrics import timed
-from . import backend as _backend
 
 #: Sort sentinel pushing invalid entries past every real key.
 _SENTINEL = np.iinfo(np.int64).max
@@ -92,13 +91,6 @@ def radix_argsort(a: np.ndarray) -> np.ndarray:
     return np.argsort(a, kind="stable")
 
 
-def group_pairs_order(recv: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Permutation sorting ``(recv, id)`` pairs lexicographically with
-    ties in input order — two radix passes, no composite-key sort."""
-    order = radix_argsort(ids)
-    return order[radix_argsort(recv[order])]
-
-
 @timed("kernel.pairs_member")
 def pairs_member(
     q_rows: np.ndarray,
@@ -124,129 +116,11 @@ def pairs_member(
     return out
 
 
-# -- dedup_rank_truncate -------------------------------------------------
-
-
-def _empty_rank_result(ages):
-    empty = np.zeros(0, dtype=np.int64)
-    return (empty, empty) if ages is None else (empty, empty, empty)
-
-
-def dedup_rank_truncate_reference(
-    recv: np.ndarray,
-    ids: np.ndarray,
-    dist_of,
-    cap: int,
-    ages: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, ...]:
-    """The original global-sort implementation (composite-key stable
-    argsort + lexsort), kept as the equivalence/benchmark reference."""
-    if len(recv) == 0:
-        return _empty_rank_result(ages)
-    stride = int(ids.max(initial=0)) + 1
-    key = recv.astype(np.int64) * stride + ids
-    order = np.argsort(key, kind="stable")
-    k_s = key[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = k_s[1:] != k_s[:-1]
-    kept = order[last]  # sorted by (recv, id)
-    dist = dist_of(kept)
-    # lexsort is stable: equal (recv, dist) pairs keep their (recv, id)
-    # order, which *is* the id tie-break.
-    order2 = np.lexsort((dist, recv[kept]))
-    slot = cumcount(recv[kept][order2])
-    fit = slot < cap
-    sel = kept[order2][fit]
-    slot = slot[fit]
-    if ages is None:
-        return sel, slot
-    return sel, slot, ages[sel]
-
-
-def dedup_rank_truncate_numpy(
-    recv: np.ndarray,
-    ids: np.ndarray,
-    dist_of,
-    cap: int,
-    ages: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, ...]:
-    """Bucketed implementation: radix-group by ``(recv, id)``, keep the
-    last copy per pair, then rank each receiver bucket in a padded
-    ``(buckets, max_bucket)`` matrix with one ``axis=1`` sort."""
-    if len(recv) == 0:
-        return _empty_rank_result(ages)
-    order = group_pairs_order(recv, ids)
-    r_s = recv[order]
-    i_s = ids[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = (r_s[1:] != r_s[:-1]) | (i_s[1:] != i_s[:-1])
-    kept = order[last]  # sorted by (recv, id), freshest copy per pair
-    dist = np.asarray(dist_of(kept), dtype=float)
-    rrecv = recv[kept]
-
-    # Bucket layout: rrecv is group-sorted, so runs are segments.
-    starts = np.ones(len(kept), dtype=bool)
-    starts[1:] = rrecv[1:] != rrecv[:-1]
-    counts = np.diff(np.append(np.flatnonzero(starts), len(kept)))
-    n_buckets = len(counts)
-    width = int(counts.max())
-    poscol = cumcount(rrecv)
-    srow = np.repeat(np.arange(n_buckets, dtype=np.int64), counts)
-    dist_pad = np.full((n_buckets, width), np.inf)
-    dist_pad[srow, poscol] = dist
-    idx_pad = np.zeros((n_buckets, width), dtype=np.int64)
-    idx_pad[srow, poscol] = np.arange(len(kept), dtype=np.int64)
-    if _mem.ENABLED:
-        _mem.scratch(
-            "kernel_pads",
-            "dedup_rank_truncate.pad",
-            dist_pad.nbytes + idx_pad.nbytes,
-        )
-    # Stable sort on the padded distances: equal distances keep their
-    # column order, and columns are id-sorted — the id tie-break.
-    order2 = np.argsort(dist_pad, axis=1, kind="stable")
-    k = min(cap, width)
-    top = order2[:, :k]
-    fit = np.arange(k) < np.minimum(counts, cap)[:, None]
-    sel = kept[np.take_along_axis(idx_pad, top, axis=1)[fit]]
-    slot = np.broadcast_to(np.arange(k, dtype=np.int64), (n_buckets, k))[fit]
-    if ages is None:
-        return sel, slot
-    return sel, slot, ages[sel]
-
-
-@timed("kernel.dedup_rank_truncate")
-def dedup_rank_truncate(
-    recv: np.ndarray,
-    ids: np.ndarray,
-    dist_of,
-    cap: int,
-    ages: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, ...]:
-    """Distance-ranked merge: dedup per ``(recv, id)`` keeping the
-    *last* occurrence (callers append entries in increasing freshness
-    order — existing view first, then messages in arrival order — so
-    the last copy of a descriptor is the freshest), rank each receiver
-    group by ``dist_of(kept_indices)`` with id tie-break, and keep the
-    ``cap`` closest per receiver.
-
-    ``dist_of`` is called once with the indices (into the flat input)
-    that survive dedup and must return their rank distances — deferring
-    the distance computation until after dedup keeps the kernel cheap.
-
-    Returns ``(sel, slot)`` (+ ``ages[sel]`` when given): ``sel`` are
-    flat input indices of the surviving entries and ``slot`` their
-    rank position within their receiver's view.
-    """
-    return _backend.active_backend().dedup_rank_truncate(
-        recv, ids, dist_of, cap, ages
-    )
-
-
 # -- dedup_priority_truncate ---------------------------------------------
 
 
-def dedup_priority_truncate_reference(
+@timed("kernel.dedup_priority_truncate")
+def dedup_priority_truncate(
     recv: np.ndarray,
     ids: np.ndarray,
     prio: np.ndarray,
@@ -254,43 +128,23 @@ def dedup_priority_truncate_reference(
     ages: np.ndarray,
     cap: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The original three-stable-argsort implementation, kept as the
-    equivalence/benchmark reference."""
-    empty = np.zeros(0, dtype=np.int64)
-    if len(recv) == 0:
-        return empty, empty, empty
-    n = len(recv)
-    sel_key = prio.astype(np.int64) * n + order_in
-    pre = np.argsort(sel_key, kind="stable")
-    stride = int(ids.max(initial=0)) + 1
-    pair_key = recv[pre].astype(np.int64) * stride + ids[pre]
-    order = np.argsort(pair_key, kind="stable")
-    k_s = pair_key[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = k_s[1:] != k_s[:-1]
-    starts = np.flatnonzero(first)
-    min_age = np.minimum.reduceat(ages[pre][order], starts)
-    kept = pre[order[first]]
-    final_key = recv[kept].astype(np.int64) * (3 * n) + sel_key[kept]
-    order2 = np.argsort(final_key, kind="stable")
-    slot = cumcount(recv[kept][order2])
-    fit = slot < cap
-    sel = kept[order2][fit]
-    return sel, slot[fit], min_age[order2][fit]
+    """Slot-priority merge (the batch Cyclon rule): dedup per
+    ``(recv, id)`` keeping the *lowest* ``(prio, order_in)`` entry with
+    the group-minimum age, then keep the first ``cap`` entries per
+    receiver in ``(prio, order_in)`` order.
 
+    Priority classes encode "existing non-sent entries keep their
+    slots, incoming entries fill the rest, sent-out entries are
+    replaced only when space runs out".
 
-def dedup_priority_truncate_numpy(
-    recv: np.ndarray,
-    ids: np.ndarray,
-    prio: np.ndarray,
-    order_in: np.ndarray,
-    ages: np.ndarray,
-    cap: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bucketed implementation: one three-key radix grouping pass
-    ``(recv, id, sel_key)`` replaces the pre-sort + composite pair
-    sort; the final per-receiver ordering is two more radix passes on
-    the (much smaller) survivor set."""
+    Returns ``(sel, slot, age)``: flat input indices of the survivors,
+    their slot within the receiver's view, and their merged age.
+
+    Bucketed implementation: one three-key radix grouping pass
+    ``(recv, id, sel_key)`` groups the entries; the final per-receiver
+    ordering is two more radix passes on the (much smaller) survivor
+    set.
+    """
     empty = np.zeros(0, dtype=np.int64)
     if len(recv) == 0:
         return empty, empty, empty
@@ -315,32 +169,6 @@ def dedup_priority_truncate_numpy(
     fit = slot < cap
     sel = kept[order2][fit]
     return sel, slot[fit], min_age[order2][fit]
-
-
-@timed("kernel.dedup_priority_truncate")
-def dedup_priority_truncate(
-    recv: np.ndarray,
-    ids: np.ndarray,
-    prio: np.ndarray,
-    order_in: np.ndarray,
-    ages: np.ndarray,
-    cap: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot-priority merge (the batch Cyclon rule): dedup per
-    ``(recv, id)`` keeping the *lowest* ``(prio, order_in)`` entry with
-    the group-minimum age, then keep the first ``cap`` entries per
-    receiver in ``(prio, order_in)`` order.
-
-    Priority classes encode "existing non-sent entries keep their
-    slots, incoming entries fill the rest, sent-out entries are
-    replaced only when space runs out".
-
-    Returns ``(sel, slot, age)``: flat input indices of the survivors,
-    their slot within the receiver's view, and their merged age.
-    """
-    return _backend.active_backend().dedup_priority_truncate(
-        recv, ids, prio, order_in, ages, cap
-    )
 
 
 # -- fused padded merge ---------------------------------------------------
@@ -391,7 +219,8 @@ def keep_last_per_row(ids_pad: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return keep
 
 
-def merge_rank_truncate_numpy(
+@timed("kernel.merge_rank_truncate")
+def merge_rank_truncate(
     space,
     pos: np.ndarray,
     ids_pad: np.ndarray,
@@ -400,7 +229,23 @@ def merge_rank_truncate_numpy(
     cap: int,
     ages_pad: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, ...]:
-    """Fused padded merge (see :func:`merge_rank_truncate`)."""
+    """The topology merge in fused padded form.
+
+    ``ids_pad``/``coords_pad`` are ``(rows, width)`` padded blocks whose
+    columns hold each receiver's existing view entries first and the
+    incoming message entries after, in arrival order; ``valid`` masks
+    real entries; ``pos`` is each receiver's own position.  Per row the
+    kernel keeps the last (freshest) copy of every duplicated id, ranks
+    the survivors by canonical-coordinate distance to ``pos`` with id
+    tie-break, truncates to ``cap`` and returns ``(rows, cap)`` blocks
+    padded with ``-1`` ids / zero coords (+ merged ages, incoming
+    entries aging from 0, when ``ages_pad`` is given).
+
+    Output contract: byte-identical to the reference flat pipeline
+    (dedup keep-last, rank by ``space.distance_rows``, id tie-break,
+    truncate) on canonical coordinates — property-tested in
+    ``tests/test_prop_kernels.py``.
+    """
     n_rows, width = ids_pad.shape
     keep = keep_last_per_row(ids_pad, valid)
     dsq = space.rank_sq_rows(pos, coords_pad)
@@ -458,51 +303,9 @@ def merge_rank_truncate_numpy(
     return out_ids, out_coords, out_ages
 
 
-@timed("kernel.merge_rank_truncate")
-def merge_rank_truncate(
-    space,
-    pos: np.ndarray,
-    ids_pad: np.ndarray,
-    coords_pad: np.ndarray,
-    valid: np.ndarray,
-    cap: int,
-    ages_pad: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, ...]:
-    """The topology merge in fused padded form — the bucketed successor
-    of routing every merge through a flat :func:`dedup_rank_truncate`.
-
-    ``ids_pad``/``coords_pad`` are ``(rows, width)`` padded blocks whose
-    columns hold each receiver's existing view entries first and the
-    incoming message entries after, in arrival order; ``valid`` masks
-    real entries; ``pos`` is each receiver's own position.  Per row the
-    kernel keeps the last (freshest) copy of every duplicated id, ranks
-    the survivors by canonical-coordinate distance to ``pos`` with id
-    tie-break, truncates to ``cap`` and returns ``(rows, cap)`` blocks
-    padded with ``-1`` ids / zero coords (+ merged ages, incoming
-    entries aging from 0, when ``ages_pad`` is given).
-
-    Output contract: byte-identical to the reference flat pipeline
-    (dedup keep-last, rank by ``space.distance_rows``, id tie-break,
-    truncate) on canonical coordinates — property-tested per backend in
-    ``tests/test_prop_kernels.py``.
-    """
-    return _backend.active_backend().merge_rank_truncate(
-        space, pos, ids_pad, coords_pad, valid, cap, ages_pad
-    )
-
-
-# -- row-distance dispatch ------------------------------------------------
-
-
-def row_rank_sq_numpy(space, origins: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    return space.rank_sq_rows(origins, blocks)
-
-
 def row_rank_sq(space, origins: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Per-row-origin squared rank distances (``space.rank_sq_rows``)
-    through the kernel backend, so compiled backends can substitute a
-    fused row-distance kernel for the shipped spaces."""
-    return _backend.active_backend().row_rank_sq(space, origins, blocks)
+    """Per-row-origin squared rank distances (``space.rank_sq_rows``)."""
+    return space.rank_sq_rows(origins, blocks)
 
 
 @timed("kernel.topk_smallest")

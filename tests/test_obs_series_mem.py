@@ -12,7 +12,6 @@ import threading
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -212,24 +211,22 @@ class TestMemLedger:
 
     def test_ledger_scratch_within_tracemalloc_envelope(self):
         """The padded-kernel scratch accounting agrees with what the
-        allocator actually hands out: for a synthetic dedup workload the
-        ledger's tracked scratch bytes are a lower bound on (and within
-        2x of) tracemalloc's peak for the call."""
+        allocator actually hands out: for a T-Man-shaped merge (48x24
+        torus, 140 incoming entries per receiver, cap 100) the ledger's
+        tracked scratch bytes are a lower bound on (and within 4x of)
+        tracemalloc's peak for the call."""
         from repro.sim.batch import kernels
 
-        rng = np.random.default_rng(0)
-        n_recv, per, cap = 64, 120, 40
-        total = n_recv * per
-        recv = np.repeat(np.arange(n_recv, dtype=np.int64), per)
-        ids = rng.integers(0, n_recv, total).astype(np.int64)
-        ages = rng.integers(0, 50, total).astype(np.int64)
-        dists = rng.random(total)
+        from tests.kernel_oracles import torus_merge_load
+
+        load = torus_merge_load(48, 24, per=140)
+        space, pos, ids_pad, coords_pad, valid, ages_pad = load
         obs_mem.set_enabled(True)
         obs_mem.reset()
         tracemalloc.start()
         try:
-            kernels.dedup_rank_truncate_numpy(
-                recv, ids, lambda kept: dists[kept], cap, ages
+            kernels.merge_rank_truncate(
+                space, pos, ids_pad, coords_pad, valid, 100, ages_pad
             )
             _, tm_peak = tracemalloc.get_traced_memory()
         finally:

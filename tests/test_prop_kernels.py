@@ -264,36 +264,31 @@ def test_rank_sq_rows_matches_scalar_on_canonical(space, data):
         want = space.rank_sq_block(origins[i], batch[i])
         np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-9)
 
-# -- batch kernel backends: bucketed kernels vs sort-based references ------
+# -- batch merge kernels vs the global-sort oracles -----------------------
 #
 # The receiver-bucketed merge kernels replaced the global composite-key
-# sorts; the originals are retained as ``*_reference`` and these suites
-# pin exact output equality — same survivors, same slots, same ages,
-# same tie-breaking — for every available backend (numpy always; numba
-# joins when installed, and when it is missing ``available_backends()``
-# simply never lists it, which is itself asserted below).
+# sorts; the originals live on as oracles in ``tests/kernel_oracles.py``
+# and these suites pin exact output equality — same survivors, same
+# slots, same ages, same tie-breaking.
 
-from repro.sim.batch import backend as kernel_backend
 from repro.sim.batch import kernels as batch_kernels
 
-BACKENDS = kernel_backend.available_backends()
+from tests.kernel_oracles import (
+    dedup_priority_truncate_reference,
+    merge_rank_truncate_reference,
+)
 
 
-def flat_loads(allow_ties=True, single_receiver=False, duplicate_ids=False):
-    """Strategy for flat (recv, ids, dists, ages) merge loads, biased
+def flat_loads(single_receiver=False, duplicate_ids=False):
+    """Strategy for flat (recv, ids, ages, prio) merge loads, biased
     toward the degenerate shapes: empty loads, one receiver bucket,
-    heavily duplicated ids, tied distances."""
+    heavily duplicated ids."""
     n_recv = st.just(1) if single_receiver else st.integers(1, 6)
     id_pool = st.just(7) if duplicate_ids else st.integers(0, 9)
-    dist = (
-        st.sampled_from([0.0, 1.0, 2.0, 2.0, 5.0])
-        if allow_ties
-        else st.floats(0.0, 100.0, allow_nan=False)
-    )
     return st.tuples(
         n_recv,
         st.lists(
-            st.tuples(id_pool, dist, st.integers(0, 50), st.integers(0, 2)),
+            st.tuples(id_pool, st.integers(0, 50), st.integers(0, 2)),
             min_size=0,
             max_size=60,
         ),
@@ -310,57 +305,11 @@ def _unpack_load(draw_pair, data):
         recv = sorted(recv)
     recv = np.asarray(recv, dtype=np.int64)
     ids = np.asarray([r[0] for r in rows], dtype=np.int64)
-    dists = np.asarray([r[1] for r in rows], dtype=float)
-    ages = np.asarray([r[2] for r in rows], dtype=np.int64)
-    prio = np.asarray([r[3] for r in rows], dtype=np.int64)
-    return recv, ids, dists, ages, prio
+    ages = np.asarray([r[1] for r in rows], dtype=np.int64)
+    prio = np.asarray([r[2] for r in rows], dtype=np.int64)
+    return recv, ids, ages, prio
 
 
-def test_numba_backend_gated_not_installed_means_numpy():
-    """Requesting the optional backend must never fail: without numba
-    installed it resolves to numpy (and the suites below then simply
-    run numpy twice as one available backend)."""
-    resolved = kernel_backend.get_backend("numba")
-    assert resolved.name in ("numba", "numpy")
-    assert "numpy" in BACKENDS
-    with kernel_backend.use_backend("numba"):
-        active = kernel_backend.active_backend()
-        assert active.name in ("numba", "numpy")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "shape",
-    [
-        dict(),
-        dict(single_receiver=True),
-        dict(duplicate_ids=True),
-        dict(allow_ties=False),
-    ],
-    ids=("mixed", "single-receiver", "all-duplicate-ids", "no-ties"),
-)
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_dedup_rank_truncate_matches_reference(backend, shape, data):
-    recv, ids, dists, ages, _ = _unpack_load(
-        data.draw(flat_loads(**shape)), data
-    )
-    cap = data.draw(st.integers(1, 8))
-
-    def dist_of(kept):
-        return dists[kept]
-
-    want = batch_kernels.dedup_rank_truncate_reference(
-        recv, ids, dist_of, cap, ages
-    )
-    with kernel_backend.use_backend(backend):
-        got = batch_kernels.dedup_rank_truncate(recv, ids, dist_of, cap, ages)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "shape",
     [dict(), dict(single_receiver=True), dict(duplicate_ids=True)],
@@ -368,19 +317,16 @@ def test_dedup_rank_truncate_matches_reference(backend, shape, data):
 )
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_dedup_priority_truncate_matches_reference(backend, shape, data):
-    recv, ids, _, ages, prio = _unpack_load(
-        data.draw(flat_loads(**shape)), data
-    )
+def test_dedup_priority_truncate_matches_reference(shape, data):
+    recv, ids, ages, prio = _unpack_load(data.draw(flat_loads(**shape)), data)
     order_in = np.arange(len(recv), dtype=np.int64)
     cap = data.draw(st.integers(1, 8))
-    want = batch_kernels.dedup_priority_truncate_reference(
+    want = dedup_priority_truncate_reference(
         recv, ids, prio, order_in, ages, cap
     )
-    with kernel_backend.use_backend(backend):
-        got = batch_kernels.dedup_priority_truncate(
-            recv, ids, prio, order_in, ages, cap
-        )
+    got = batch_kernels.dedup_priority_truncate(
+        recv, ids, prio, order_in, ages, cap
+    )
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
@@ -413,14 +359,14 @@ def _merge_model(space, pos, ids_pad, coords_pad, valid, cap, ages_pad):
     return out_ids, out_coords, out_ages
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("grid", [True, False], ids=("int-grid", "float"))
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
-def test_merge_rank_truncate_matches_dict_model(backend, grid, data):
+def test_merge_rank_truncate_matches_dict_model(grid, data):
     """The fused padded merge ≡ a per-row dict model, on both the exact
     integer-key path (grid coordinates) and the float sqrt path, with
-    empty rows, duplicate ids and tied distances in the mix."""
+    empty rows, duplicate ids and tied distances in the mix.  The flat
+    global-sort oracle the kernel gate times it against agrees too."""
     space = FlatTorus(16.0, 8.0)
     n_rows = data.draw(st.integers(1, 5))
     width = data.draw(st.integers(1, 12))
@@ -466,45 +412,37 @@ def test_merge_rank_truncate_matches_dict_model(backend, grid, data):
     with_ages = data.draw(st.booleans())
     args = (space, pos, ids_pad, coords_pad, valid, cap)
     want = _merge_model(*args, ages_pad if with_ages else None)
-    with kernel_backend.use_backend(backend):
-        got = batch_kernels.merge_rank_truncate(
-            *args, ages_pad if with_ages else None
-        )
+    got = batch_kernels.merge_rank_truncate(
+        *args, ages_pad if with_ages else None
+    )
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+    flat = merge_rank_truncate_reference(*args, ages_pad if with_ages else None)
+    for f, w in zip(flat, want):
+        np.testing.assert_array_equal(f, w)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dedup_kernels_empty_load(backend):
-    """Empty flat loads (no bucket at all) return empty selections on
-    every backend."""
+def test_dedup_priority_truncate_empty_load():
+    """An empty flat load (no bucket at all) returns empty selections."""
     empty = np.zeros(0, dtype=np.int64)
-    with kernel_backend.use_backend(backend):
-        sel, slot = batch_kernels.dedup_rank_truncate(
-            empty, empty, lambda kept: np.zeros(0), 4
-        )
-        assert len(sel) == 0 and len(slot) == 0
-        sel, slot, age = batch_kernels.dedup_priority_truncate(
-            empty, empty, empty, empty, empty, 4
-        )
-        assert len(sel) == 0 and len(slot) == 0 and len(age) == 0
+    sel, slot, age = batch_kernels.dedup_priority_truncate(
+        empty, empty, empty, empty, empty, 4
+    )
+    assert len(sel) == 0 and len(slot) == 0 and len(age) == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dedup_rank_truncate_tie_break_is_id_order(backend):
+def test_merge_rank_truncate_tie_break_is_id_order():
     """Equal distances rank by ascending id — the contract the golden
     digests depend on, checked against a hand-built load."""
-    recv = np.zeros(4, dtype=np.int64)
-    ids = np.asarray([9, 3, 7, 5], dtype=np.int64)
-
-    def dist_of(kept):
-        return np.ones(len(kept), dtype=float)
-
-    with kernel_backend.use_backend(backend):
-        sel, slot = batch_kernels.dedup_rank_truncate(recv, ids, dist_of, 3)
-    assert ids[sel].tolist() == [3, 5, 7]
-    assert slot.tolist() == [0, 1, 2]
+    space = Euclidean(1)
+    ids_pad = np.asarray([[9, 3, 7, 5]], dtype=np.int64)
+    coords_pad = np.ones((1, 4, 1))
+    valid = np.ones((1, 4), dtype=bool)
+    out_ids, _ = batch_kernels.merge_rank_truncate(
+        space, np.zeros((1, 1)), ids_pad, coords_pad, valid, 3
+    )
+    assert out_ids.tolist() == [[3, 5, 7]]
 
 
 @given(data=st.data())

@@ -11,7 +11,7 @@ from repro.sim.batch import BatchPeerSampling, BatchSimulation
 from repro.sim.batch.kernels import (
     cumcount,
     dedup_priority_truncate,
-    dedup_rank_truncate,
+    merge_rank_truncate,
     pairs_member,
     topk_smallest,
 )
@@ -58,20 +58,19 @@ class TestKernels:
         assert sorted(vals[0][pick[0]].tolist()) == [1.0, 2.0]
         assert sorted(vals[1][pick[1]].tolist()) == [4.0, 5.0]
 
-    def test_dedup_rank_truncate_keeps_freshest_and_ranks(self):
+    def test_merge_rank_truncate_keeps_freshest_and_ranks(self):
         space = Euclidean(1)
         # Receiver 0 at the origin; id 5 appears twice — the later
         # (fresher) coordinate must win; cap 2 keeps the closest two.
-        recv = np.asarray([0, 0, 0, 0])
-        ids = np.asarray([5, 7, 5, 9])
-        coords = np.asarray([[10.0], [1.0], [0.5], [3.0]])
+        ids_pad = np.asarray([[5, 7, 5, 9]])
+        coords_pad = np.asarray([[[10.0], [1.0], [0.5], [3.0]]])
+        valid = np.ones((1, 4), dtype=bool)
         origins = np.zeros((1, 1))
 
-        def dist_of(kept):
-            return space.distance_rows(origins[recv[kept]], coords[kept])
-
-        sel, slot = dedup_rank_truncate(recv, ids, dist_of, 2)
-        kept = {int(ids[s]): int(p) for s, p in zip(sel, slot)}
+        out_ids, _ = merge_rank_truncate(
+            space, origins, ids_pad, coords_pad, valid, 2
+        )
+        kept = {int(pid): slot for slot, pid in enumerate(out_ids[0])}
         assert kept == {5: 0, 7: 1}  # id 5 at its fresh coord 0.5
 
     def test_dedup_priority_truncate_cyclon_rule(self):
